@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build vet test test-short test-race bench bench-save bench-engine experiments examples audit chaos campaign byzantine disciplines serve-bench flight attr-bench
+.PHONY: all build vet test test-short test-race bench bench-save bench-engine packet-path experiments examples audit chaos campaign byzantine disciplines serve-bench flight attr-bench
 
 all: build vet test
 
@@ -35,6 +35,16 @@ bench:
 bench-engine:
 	BENCH8_OUT=$$(pwd)/BENCH_8.json BENCH8_BASELINE=$$(pwd)/BENCH_8.json \
 		go test -bench 'BenchmarkEngineFattree8|BenchmarkCampaignJobsScaling' -benchtime 1x -run '^$$' .
+
+# Packet-path proofs under the race detector: the sprayed star:8 window
+# allocates at most once per delivered frame (the generator's own
+# frame), the Figure 6f golden run reproduces its recorded counts and
+# offsets exactly, and the synchronized fattree:4 beacon loop allocates
+# nothing.
+packet-path:
+	go test -race -count=1 -run 'TestSprayedPacketPathAllocs' ./internal/fabric
+	go test -race -count=1 -run 'TestPacketPathGolden' ./internal/ptp
+	go test -race -count=1 -run 'TestSteadyStateBeaconLoopZeroAlloc' .
 
 # Snapshot benchmark output to a dated file for benchstat against
 # future PRs, refresh BENCH_5.json with the campaign runner's

@@ -92,11 +92,14 @@ type Network struct {
 	Sch   *sim.Scheduler
 	Graph topo.Graph
 
-	cfg     Config
-	rng     *sim.RNG
-	nextHop [][]int
+	cfg Config
+	rng *sim.RNG
+	// ipg and headerTime are the serialization times of the minimum
+	// interpacket gap and of a cut-through switch's header, fixed by cfg.
+	ipg, headerTime sim.Time
 
 	elements []*element
+	flight   inFlight
 
 	// tel holds telemetry handles; the zero value (uninstrumented) is a
 	// set of nil handles whose updates are no-ops. See Instrument.
@@ -132,21 +135,22 @@ func (n *Network) Instrument(reg *telemetry.Registry, tr *telemetry.Tracer) {
 type element struct {
 	net      *Network
 	node     topo.Node
-	ports    map[int]*egressPort // keyed by topology link index
-	handlers map[eth.Proto]Handler
+	ports    []*egressPort // one per attached link, in link order
+	toward   []*egressPort // next-hop port by destination node; nil if none
+	handlers []Handler     // indexed by eth.Proto
 
 	delivered uint64
 }
 
 // egressPort is one transmit queue plus its wire.
 type egressPort struct {
-	owner    *element
-	linkIdx  int
-	peerNode int
-	wire     *link.Wire
+	owner   *element
+	peer    *element
+	linkIdx int
+	wire    *link.Wire
 
-	queue      []*eth.Frame // bulk traffic
-	prio       []*eth.Frame // PTP event frames when PTPPriority is set
+	queue      frameRing // bulk traffic
+	prio       frameRing // PTP event frames when PTPPriority is set
 	queueBytes int
 	busy       bool
 
@@ -166,20 +170,19 @@ func New(sch *sim.Scheduler, seed uint64, graph topo.Graph, cfg Config) (*Networ
 		return nil, fmt.Errorf("fabric: queue capacity must be positive")
 	}
 	n := &Network{
-		Sch:     sch,
-		Graph:   graph,
-		cfg:     cfg,
-		rng:     sim.NewRNG(seed, "fabric"),
-		nextHop: graph.NextHop(),
+		Sch:   sch,
+		Graph: graph,
+		cfg:   cfg,
+		rng:   sim.NewRNG(seed, "fabric"),
+
+		ipg:        cfg.Profile.ByteTime(phy.MinInterpacketIdles),
+		headerTime: cfg.Profile.ByteTime(cfg.HeaderBytes),
 	}
 	for _, node := range graph.Nodes {
-		n.elements = append(n.elements, &element{
-			net:      n,
-			node:     node,
-			ports:    map[int]*egressPort{},
-			handlers: map[eth.Proto]Handler{},
-		})
+		n.elements = append(n.elements, &element{net: n, node: node})
 	}
+	// linkEnds[li] holds the egress ports at link li's A and B ends.
+	linkEnds := make([][2]*egressPort, len(graph.Links))
 	for li, l := range graph.Links {
 		delay := link.DelayForLength(l.LengthM)
 		wa, err := link.New(sch, n.rng.Fork(fmt.Sprintf("w%da", li)), link.Config{Delay: delay})
@@ -190,11 +193,26 @@ func New(sch *sim.Scheduler, seed uint64, graph topo.Graph, cfg Config) (*Networ
 		if err != nil {
 			return nil, fmt.Errorf("fabric: link %d: %w", li, err)
 		}
-		n.elements[l.A].ports[li] = &egressPort{
-			owner: n.elements[l.A], linkIdx: li, peerNode: l.B, wire: wa,
+		a, b := n.elements[l.A], n.elements[l.B]
+		linkEnds[li] = [2]*egressPort{
+			{owner: a, peer: b, linkIdx: li, wire: wa},
+			{owner: b, peer: a, linkIdx: li, wire: wb},
 		}
-		n.elements[l.B].ports[li] = &egressPort{
-			owner: n.elements[l.B], linkIdx: li, peerNode: l.A, wire: wb,
+		a.ports = append(a.ports, linkEnds[li][0])
+		b.ports = append(b.ports, linkEnds[li][1])
+	}
+	for id, hops := range graph.NextHop() {
+		el := n.elements[id]
+		el.toward = make([]*egressPort, len(hops))
+		for dst, li := range hops {
+			if dst == id || li < 0 {
+				continue
+			}
+			if graph.Links[li].B == id {
+				el.toward[dst] = linkEnds[li][1]
+			} else {
+				el.toward[dst] = linkEnds[li][0]
+			}
 		}
 	}
 	return n, nil
@@ -205,7 +223,11 @@ func (n *Network) Config() Config { return n.cfg }
 
 // Handle registers a protocol handler on a host node.
 func (n *Network) Handle(node int, proto eth.Proto, h Handler) {
-	n.elements[node].handlers[proto] = h
+	el := n.elements[node]
+	for len(el.handlers) <= int(proto) {
+		el.handlers = append(el.handlers, nil)
+	}
+	el.handlers[proto] = h
 }
 
 // Send injects a frame at its source host. Returns false if the egress
@@ -215,7 +237,7 @@ func (n *Network) Send(f *eth.Frame) bool {
 		panic("fabric: frame with no size")
 	}
 	el := n.elements[f.Src]
-	port := el.portToward(f.Dst)
+	port := el.toward[f.Dst]
 	if port == nil {
 		panic(fmt.Sprintf("fabric: no route %d -> %d", f.Src, f.Dst))
 	}
@@ -225,7 +247,7 @@ func (n *Network) Send(f *eth.Frame) bool {
 // QueueDepthBytes reports the egress queue occupancy from node `from`
 // toward node `dst` (next hop), for monitoring.
 func (n *Network) QueueDepthBytes(from, dst int) int {
-	p := n.elements[from].portToward(dst)
+	p := n.elements[from].toward[dst]
 	if p == nil {
 		return 0
 	}
@@ -252,15 +274,74 @@ func (n *Network) Delivered() uint64 {
 	return total
 }
 
-func (el *element) portToward(dst int) *egressPort {
-	if dst == el.node.ID {
-		return nil
+// --- Packet-path events -----------------------------------------------
+
+// Packet-path actor opcodes. Every hop of a frame runs on pooled
+// scheduler events: the frame rides in the event as its in-flight slot
+// (argument a), so no closure is captured per hop.
+const (
+	opFirstBit uint8 = iota // element: a = slot, b = serialization time; leading edge arrived
+	opForward               // switch: a = slot, b = ingress time; header and pipeline delay done
+	opDeliver               // host: a = slot; last bit arrived
+	opTxDone                // egressPort: serialization plus interpacket gap done
+)
+
+// inFlight is the per-Network table of frames on a wire or inside an
+// element's receive path, addressed by slot. A slot is taken when a
+// frame starts serialization and returned when the receiving element
+// delivers or forwards it; freed slots are reused LIFO, so a steady
+// load stops growing the table once it reaches its in-flight peak.
+type inFlight struct {
+	frames []*eth.Frame
+	free   []uint64
+}
+
+// put stores f and returns its slot.
+func (t *inFlight) put(f *eth.Frame) uint64 {
+	if k := len(t.free); k > 0 {
+		slot := t.free[k-1]
+		t.free = t.free[:k-1]
+		t.frames[slot] = f
+		return slot
 	}
-	li := el.net.nextHop[el.node.ID][dst]
-	if li < 0 {
-		return nil
+	t.frames = append(t.frames, f)
+	return uint64(len(t.frames) - 1)
+}
+
+// take removes and returns the frame in slot, releasing the slot.
+func (t *inFlight) take(slot uint64) *eth.Frame {
+	f := t.frames[slot]
+	t.frames[slot] = nil
+	t.free = append(t.free, slot)
+	return f
+}
+
+// frameRing is an egress FIFO: a power-of-two ring that doubles when
+// full and nils every slot it dequeues, so a departed frame is never
+// pinned by the queue's backing array.
+type frameRing struct {
+	buf     []*eth.Frame
+	head, n int
+}
+
+func (r *frameRing) push(f *eth.Frame) {
+	if r.n == len(r.buf) {
+		buf := make([]*eth.Frame, max(8, 2*len(r.buf)))
+		for i := 0; i < r.n; i++ {
+			buf[i] = r.buf[(r.head+i)&(len(r.buf)-1)]
+		}
+		r.buf, r.head = buf, 0
 	}
-	return el.ports[li]
+	r.buf[(r.head+r.n)&(len(r.buf)-1)] = f
+	r.n++
+}
+
+func (r *frameRing) pop() *eth.Frame {
+	f := r.buf[r.head]
+	r.buf[r.head] = nil
+	r.head = (r.head + 1) & (len(r.buf) - 1)
+	r.n--
+	return f
 }
 
 // --- Egress queue -----------------------------------------------------
@@ -278,10 +359,10 @@ func (p *egressPort) enqueue(f *eth.Frame) bool {
 	}
 	p.enqueued++
 	net.tel.enqueued.Inc()
-	if p.owner.net.cfg.PTPPriority && f.Proto == eth.ProtoPTPEvent {
-		p.prio = append(p.prio, f)
+	if net.cfg.PTPPriority && f.Proto == eth.ProtoPTPEvent {
+		p.prio.push(f)
 	} else {
-		p.queue = append(p.queue, f)
+		p.queue.push(f)
 	}
 	p.queueBytes += f.Size
 	net.tel.queuePeak.SetMax(float64(p.queueBytes))
@@ -293,12 +374,10 @@ func (p *egressPort) enqueue(f *eth.Frame) bool {
 
 func (p *egressPort) startTx() {
 	var f *eth.Frame
-	if len(p.prio) > 0 {
-		f = p.prio[0]
-		p.prio = p.prio[1:]
+	if p.prio.n > 0 {
+		f = p.prio.pop()
 	} else {
-		f = p.queue[0]
-		p.queue = p.queue[1:]
+		f = p.queue.pop()
 	}
 	p.queueBytes -= f.Size
 	p.busy = true
@@ -321,48 +400,69 @@ func (p *egressPort) startTx() {
 	ser := n.cfg.Profile.ByteTime(f.Size)
 	// First bit hits the wire now; the receiver sees it after the
 	// propagation delay and decides when the frame is usable.
-	p.wire.Send(func() { n.elements[p.peerNode].firstBitArrival(f, ser) })
+	slot := n.flight.put(f)
+	if !p.wire.SendActor(p.peer, opFirstBit, slot, uint64(ser)) {
+		n.flight.take(slot)
+	}
 	// Serialization complete: the port may start the next frame after
 	// the minimum interpacket gap.
-	ipg := n.cfg.Profile.ByteTime(phy.MinInterpacketIdles)
-	n.Sch.After(ser+ipg, func() {
-		p.busy = false
-		if len(p.queue) > 0 || len(p.prio) > 0 {
-			p.startTx()
-		}
-	})
+	n.Sch.AfterActor(ser+n.ipg, p, opTxDone, 0, 0)
 }
 
-// firstBitArrival handles the leading edge of a frame at an element.
-func (el *element) firstBitArrival(f *eth.Frame, ser sim.Time) {
+// OnEvent implements sim.Actor: serialization plus IPG is done, so the
+// port may start its next frame.
+func (p *egressPort) OnEvent(uint8, uint64, uint64) {
+	p.busy = false
+	if p.queue.n > 0 || p.prio.n > 0 {
+		p.startTx()
+	}
+}
+
+// OnEvent implements sim.Actor for the element's three packet-path
+// opcodes; a names the frame's in-flight slot.
+func (el *element) OnEvent(code uint8, a, b uint64) {
+	switch code {
+	case opFirstBit:
+		el.firstBitArrival(a, sim.Time(b))
+	case opForward:
+		el.forward(el.net.flight.take(a), sim.Time(b))
+	case opDeliver:
+		el.deliver(el.net.flight.take(a))
+	}
+}
+
+// firstBitArrival handles the leading edge of the frame in flight slot
+// `slot` at an element; ser is its serialization time. The frame keeps
+// its slot until the element delivers or forwards it.
+func (el *element) firstBitArrival(slot uint64, ser sim.Time) {
 	n := el.net
 	if el.node.Kind == topo.Host {
 		// NICs receive the whole frame before handing it up; the RX
 		// hardware timestamp is the last-bit arrival.
-		n.Sch.After(ser, func() { el.deliver(f) })
+		n.Sch.AfterActor(ser, el, opDeliver, slot, 0)
 		return
 	}
 	// Switch: forward after the header (cut-through) or the whole frame
 	// (store-and-forward), plus pipeline delay.
 	wait := ser
 	if n.cfg.CutThrough {
-		wait = n.cfg.Profile.ByteTime(n.cfg.HeaderBytes)
-		if wait > ser {
-			wait = ser
-		}
+		wait = min(n.headerTime, ser)
 	}
-	ingress := n.Sch.Now()
-	n.Sch.After(wait+n.cfg.ProcDelay, func() {
-		f.Hops++
-		egress := el.portToward(f.Dst)
-		if egress == nil {
-			return // destination unreachable (should not happen)
-		}
-		if f.Proto == eth.ProtoPTPEvent {
-			el.applyTransparentClock(f, ingress)
-		}
-		egress.enqueue(f)
-	})
+	n.Sch.AfterActor(wait+n.cfg.ProcDelay, el, opForward, slot, uint64(n.Sch.Now()))
+}
+
+// forward moves a frame whose leading edge reached this switch at
+// ingress into its next-hop egress queue.
+func (el *element) forward(f *eth.Frame, ingress sim.Time) {
+	f.Hops++
+	egress := el.toward[f.Dst]
+	if egress == nil {
+		return // destination unreachable (should not happen)
+	}
+	if f.Proto == eth.ProtoPTPEvent {
+		el.applyTransparentClock(f, ingress)
+	}
+	egress.enqueue(f)
 }
 
 // applyTransparentClock adds the switch's residence-time estimate to the
@@ -394,7 +494,7 @@ func (el *element) applyTransparentClock(f *eth.Frame, ingress sim.Time) {
 func (el *element) deliver(f *eth.Frame) {
 	el.delivered++
 	el.net.tel.delivered.Inc()
-	if h := el.handlers[f.Proto]; h != nil {
-		h(f, el.net.Sch.Now())
+	if p := int(f.Proto); p >= 0 && p < len(el.handlers) && el.handlers[p] != nil {
+		el.handlers[p](f, el.net.Sch.Now())
 	}
 }

@@ -39,7 +39,7 @@ func NewTrafficGen(n *Network, src, dst int, frameSize int, rateGbps float64, bu
 // Start begins emitting bursts after a small random phase.
 func (g *TrafficGen) Start() {
 	g.stop = false
-	g.net.Sch.After(g.rng.UniformTime(0, g.gap()), g.emit)
+	g.net.Sch.AfterActor(g.rng.UniformTime(0, g.gap()), g, 0, 0, 0)
 }
 
 // Stop halts the generator after the current burst.
@@ -54,7 +54,9 @@ func (g *TrafficGen) gap() sim.Time {
 	return sim.Time(bitsPerBurst / g.RateGbps)
 }
 
-func (g *TrafficGen) emit() {
+// OnEvent implements sim.Actor: the generator's one event emits a burst
+// and schedules the next.
+func (g *TrafficGen) OnEvent(uint8, uint64, uint64) {
 	if g.stop {
 		return
 	}
@@ -66,7 +68,7 @@ func (g *TrafficGen) emit() {
 	// lock.
 	gap := g.gap()
 	next := g.rng.UniformTime(gap*3/4, gap*5/4)
-	g.net.Sch.After(next, g.emit)
+	g.net.Sch.AfterActor(next, g, 0, 0, 0)
 }
 
 // SaturateLink drives src->dst at ~line rate with MTU frames — the
@@ -113,7 +115,7 @@ func NewSprayGen(n *Network, src int, dsts []int, rateGbps float64, burst int, s
 // Start begins spraying.
 func (g *SprayGen) Start() {
 	g.stop = false
-	g.net.Sch.After(g.rng.UniformTime(0, g.gap()), g.emit)
+	g.net.Sch.AfterActor(g.rng.UniformTime(0, g.gap()), g, 0, 0, 0)
 }
 
 // Stop halts the sprayer.
@@ -127,7 +129,9 @@ func (g *SprayGen) gap() sim.Time {
 	return sim.Time(bitsPerBurst / g.RateGbps)
 }
 
-func (g *SprayGen) emit() {
+// OnEvent implements sim.Actor: the sprayer's one event emits a burst to
+// a random destination and schedules the next.
+func (g *SprayGen) OnEvent(uint8, uint64, uint64) {
 	if g.stop {
 		return
 	}
@@ -140,5 +144,5 @@ func (g *SprayGen) emit() {
 		g.sent++
 	}
 	gap := g.gap()
-	g.net.Sch.After(g.rng.UniformTime(gap*3/4, gap*5/4), g.emit)
+	g.net.Sch.AfterActor(g.rng.UniformTime(gap*3/4, gap*5/4), g, 0, 0, 0)
 }

@@ -139,27 +139,11 @@ func (w *Wire) SetLossP(p float64) {
 	w.lossP = p
 }
 
-// SendBlock transmits a 66-bit PCS block: the receiver callback fires
-// after the propagation delay with the (possibly corrupted) block, or
-// never if the block was lost to an injected grey failure.
-func (w *Wire) SendBlock(b phy.Block, deliver func(phy.Block)) {
-	w.sent++
-	if w.lossP > 0 && w.rng.Bool(w.lossP) {
-		w.dropped++
-		return
-	}
-	if w.blockErrP > 0 && w.rng.Bool(w.blockErrP) {
-		b = w.flipRandomBit(b)
-		w.corrupted++
-	}
-	w.sch.After(w.cfg.Delay, func() { deliver(b) })
-}
-
-// SendBlockActor is SendBlock for the zero-alloc beacon hot path: the
-// block rides in the event payload (a = 64 payload bits, b = sync
-// byte) and the receiver is an actor, so no closure is captured. RNG
-// draws are gated on the same probabilities as SendBlock, keeping the
-// per-wire draw sequence byte-identical between the two entry points.
+// SendBlockActor transmits a 66-bit PCS block: act.OnEvent(code,
+// payload, sync) fires after the propagation delay with the (possibly
+// corrupted) block, or never if the block was lost to an injected grey
+// failure. The block rides in the pooled event's arguments (a = 64
+// payload bits, b = sync byte), so no closure is captured.
 func (w *Wire) SendBlockActor(b phy.Block, act sim.Actor, code uint8) {
 	w.sent++
 	if w.lossP > 0 && w.rng.Bool(w.lossP) {
@@ -185,16 +169,19 @@ func (w *Wire) flipRandomBit(b phy.Block) phy.Block {
 	return b
 }
 
-// Send transmits an opaque payload (e.g. a full Ethernet frame whose
-// per-bit corruption is handled by the frame's own FCS model): deliver
-// fires after the propagation delay, or never under injected loss.
-func (w *Wire) Send(deliver func()) {
+// SendActor transmits an opaque payload (e.g. a full Ethernet frame
+// whose per-bit corruption is handled by the frame's own FCS model):
+// act.OnEvent(code, a, b) fires after the propagation delay, or never
+// under injected loss. It reports whether the payload was launched, so a
+// caller whose a or b refers to state it owns can release it on loss.
+func (w *Wire) SendActor(act sim.Actor, code uint8, a, b uint64) bool {
 	w.sent++
 	if w.lossP > 0 && w.rng.Bool(w.lossP) {
 		w.dropped++
-		return
+		return false
 	}
-	w.sch.After(w.cfg.Delay, deliver)
+	w.sch.AfterActor(w.cfg.Delay, act, code, a, b)
+	return true
 }
 
 // Stats returns the number of blocks/payloads sent and blocks corrupted.

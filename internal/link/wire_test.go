@@ -21,12 +21,12 @@ func TestSendBlockDelay(t *testing.T) {
 	w := mustNew(t, sch, sim.NewRNG(1, "wire"), Config{Delay: 50 * sim.Nanosecond})
 	var arrived sim.Time
 	b := phy.IdleBlock()
-	w.SendBlock(b, func(got phy.Block) {
+	w.SendBlockActor(b, blockSink(func(got phy.Block) {
 		arrived = sch.Now()
 		if got != b {
 			t.Error("block corrupted on error-free wire")
 		}
-	})
+	}), 0)
 	sch.Run(sim.Microsecond)
 	if arrived != 50*sim.Nanosecond {
 		t.Fatalf("arrival at %v, want 50ns", arrived)
@@ -37,10 +37,12 @@ func TestSendOpaqueDelay(t *testing.T) {
 	sch := sim.NewScheduler()
 	w := mustNew(t, sch, sim.NewRNG(1, "wire"), Config{Delay: 5 * sim.Microsecond})
 	fired := false
-	w.Send(func() { fired = sch.Now() == 5*sim.Microsecond })
+	launched := w.SendActor(eventSink(func(code uint8, a, b uint64) {
+		fired = sch.Now() == 5*sim.Microsecond && code == 3 && a == 7 && b == 9
+	}), 3, 7, 9)
 	sch.Run(sim.Second)
-	if !fired {
-		t.Fatal("opaque payload not delivered at the propagation delay")
+	if !launched || !fired {
+		t.Fatal("opaque payload not delivered with its arguments at the propagation delay")
 	}
 }
 
@@ -49,11 +51,11 @@ func TestZeroBERNeverCorrupts(t *testing.T) {
 	w := mustNew(t, sch, sim.NewRNG(1, "wire"), Config{Delay: 1})
 	for i := 0; i < 1000; i++ {
 		b := phy.Codec{}.EmbedMessage(phy.Message{Type: phy.MsgBeacon, Payload: uint64(i)})
-		w.SendBlock(b, func(got phy.Block) {
+		w.SendBlockActor(b, blockSink(func(got phy.Block) {
 			if got != b {
 				t.Error("corruption at BER 0")
 			}
-		})
+		}), 0)
 		sch.RunFor(sim.Nanosecond)
 	}
 	if _, c := w.Stats(); c != 0 {
@@ -69,11 +71,11 @@ func TestHighBERCorruptsAboutExpectedRate(t *testing.T) {
 	diffs := 0
 	for i := 0; i < n; i++ {
 		b := phy.IdleBlock()
-		w.SendBlock(b, func(got phy.Block) {
+		w.SendBlockActor(b, blockSink(func(got phy.Block) {
 			if got != b {
 				diffs++
 			}
-		})
+		}), 0)
 		sch.RunFor(sim.Nanosecond)
 	}
 	frac := float64(diffs) / float64(n)
@@ -92,7 +94,7 @@ func TestCorruptionFlipsExactlyOneBit(t *testing.T) {
 	sawSyncFlip := false
 	for i := 0; i < 5000; i++ {
 		b := phy.IdleBlock()
-		w.SendBlock(b, func(got phy.Block) {
+		w.SendBlockActor(b, blockSink(func(got phy.Block) {
 			if got == b {
 				return
 			}
@@ -104,13 +106,24 @@ func TestCorruptionFlipsExactlyOneBit(t *testing.T) {
 			if syncDiff == 1 {
 				sawSyncFlip = true
 			}
-		})
+		}), 0)
 		sch.RunFor(sim.Nanosecond)
 	}
 	if !sawSyncFlip {
 		t.Error("sync header bits never targeted by corruption")
 	}
 }
+
+// blockSink adapts a test callback to the actor a wire delivers blocks
+// to: a carries the payload bits, b the sync header.
+type blockSink func(phy.Block)
+
+func (f blockSink) OnEvent(_ uint8, a, b uint64) { f(phy.Block{Sync: byte(b), Payload: a}) }
+
+// eventSink adapts a test callback to a raw actor.
+type eventSink func(code uint8, a, b uint64)
+
+func (f eventSink) OnEvent(code uint8, a, b uint64) { f(code, a, b) }
 
 func popcount8(v byte) int {
 	n := 0
@@ -153,11 +166,11 @@ func TestSetBERRuntimeMutation(t *testing.T) {
 	send := func(n int, dirtyCount *int) {
 		for i := 0; i < n; i++ {
 			b := phy.IdleBlock()
-			w.SendBlock(b, func(got phy.Block) {
+			w.SendBlockActor(b, blockSink(func(got phy.Block) {
 				if got != b {
 					*dirtyCount++
 				}
-			})
+			}), 0)
 			sch.RunFor(sim.Nanosecond)
 		}
 	}
@@ -184,11 +197,11 @@ func TestSetDelayRuntimeMutation(t *testing.T) {
 	// A block already in flight keeps its launch delay.
 	var first, second sim.Time
 	start := sch.Now()
-	w.SendBlock(phy.IdleBlock(), func(phy.Block) { first = sch.Now() - start })
+	w.SendBlockActor(phy.IdleBlock(), blockSink(func(phy.Block) { first = sch.Now() - start }), 0)
 	if err := w.SetDelay(200 * sim.Nanosecond); err != nil {
 		t.Fatal(err)
 	}
-	w.SendBlock(phy.IdleBlock(), func(phy.Block) { second = sch.Now() - start })
+	w.SendBlockActor(phy.IdleBlock(), blockSink(func(phy.Block) { second = sch.Now() - start }), 0)
 	sch.Run(sim.Microsecond)
 	if first != 50*sim.Nanosecond {
 		t.Fatalf("in-flight block arrived after %v, want 50ns", first)
@@ -207,8 +220,10 @@ func TestSetLossDropsBlocks(t *testing.T) {
 	w.SetLossP(1)
 	delivered := 0
 	for i := 0; i < 100; i++ {
-		w.SendBlock(phy.IdleBlock(), func(phy.Block) { delivered++ })
-		w.Send(func() { delivered++ })
+		w.SendBlockActor(phy.IdleBlock(), blockSink(func(phy.Block) { delivered++ }), 0)
+		if w.SendActor(eventSink(func(uint8, uint64, uint64) { delivered++ }), 0, 0, 0) {
+			t.Fatal("SendActor reported a launch at loss 1.0")
+		}
 	}
 	sch.Run(sim.Microsecond)
 	if delivered != 0 {
@@ -218,7 +233,7 @@ func TestSetLossDropsBlocks(t *testing.T) {
 		t.Fatalf("dropped = %d, want 200", w.Dropped())
 	}
 	w.SetLossP(0)
-	w.SendBlock(phy.IdleBlock(), func(phy.Block) { delivered++ })
+	w.SendBlockActor(phy.IdleBlock(), blockSink(func(phy.Block) { delivered++ }), 0)
 	sch.Run(2 * sim.Microsecond)
 	if delivered != 1 {
 		t.Fatal("block lost after loss cleared")

@@ -38,10 +38,10 @@ func NewBoundaryClock(n *fabric.Network, node, upstream int, downstream []int, c
 	// Syncs from upstream to the slave half.
 	n.Handle(node, eth.ProtoPTPEvent, func(f *eth.Frame, rx sim.Time) {
 		if _, isReq := f.Payload.(delayReq); isReq {
-			bc.master.onEvent(f, rx)
+			bc.master.onEventFrame(f, rx)
 			return
 		}
-		bc.Client.onEvent(f, rx)
+		bc.Client.onEventFrame(f, rx)
 	})
 	return bc
 }

@@ -79,14 +79,34 @@ func NewClient(n *fabric.Network, node, gm int, cfg Config, seed uint64) *Client
 	}
 	c.masters = map[int]masterInfo{}
 	c.PHC.Step(rng.Uniform(-1e9, 1e9)) // ±1 ms initial phase error
-	n.Handle(node, eth.ProtoPTPEvent, c.onEvent)
-	n.Handle(node, eth.ProtoPTPGeneral, c.onGeneral)
+	n.Handle(node, eth.ProtoPTPEvent, c.onEventFrame)
+	n.Handle(node, eth.ProtoPTPGeneral, c.onGeneralFrame)
 	if cfg.WanderInterval > 0 && cfg.WanderStepPPB > 0 {
-		n.Sch.After(cfg.WanderInterval, c.wander)
+		n.Sch.AfterActor(cfg.WanderInterval, c, opWander, 0, 0)
 	}
 	// BMCA watchdog: re-evaluate master liveness every sync interval.
-	n.Sch.After(cfg.SyncInterval, c.bmcaWatchdog)
+	n.Sch.AfterActor(cfg.SyncInterval, c, opBMCA, 0, 0)
 	return c
+}
+
+// Client timer opcodes: each periodic timer is a pooled actor event
+// that re-arms itself, so no method value is allocated per round.
+const (
+	opWander   uint8 = iota // oscillator wander step
+	opBMCA                  // best-master-clock liveness sweep
+	opDelayReq              // Delay_Req round
+)
+
+// OnEvent implements sim.Actor for the client's periodic timers.
+func (c *Client) OnEvent(code uint8, _, _ uint64) {
+	switch code {
+	case opWander:
+		c.wander()
+	case opBMCA:
+		c.bmcaWatchdog()
+	case opDelayReq:
+		c.delayRound()
+	}
 }
 
 // masterInfo tracks one announced master.
@@ -101,7 +121,7 @@ func (c *Client) bmcaWatchdog() {
 		return
 	}
 	c.selectMaster()
-	c.net.Sch.After(c.cfg.SyncInterval, c.bmcaWatchdog)
+	c.net.Sch.AfterActor(c.cfg.SyncInterval, c, opBMCA, 0, 0)
 }
 
 // selectMaster implements the best-master-clock decision: lowest
@@ -169,7 +189,7 @@ func (c *Client) Master() int { return c.gm }
 // Start begins the Delay_Req cadence.
 func (c *Client) Start() {
 	c.stopped = false
-	c.net.Sch.After(c.rng.UniformTime(0, c.cfg.DelayReqInterval), c.delayRound)
+	c.net.Sch.AfterActor(c.rng.UniformTime(0, c.cfg.DelayReqInterval), c, opDelayReq, 0, 0)
 }
 
 // Stop halts the client's transmissions (received messages are ignored).
@@ -199,7 +219,7 @@ func (c *Client) wander() {
 		ppm = -c.cfg.PPMRange
 	}
 	c.PHC.SetHwPPM(ppm)
-	c.net.Sch.After(c.cfg.WanderInterval, c.wander)
+	c.net.Sch.AfterActor(c.cfg.WanderInterval, c, opWander, 0, 0)
 }
 
 // hwStamp reads the NIC's hardware timestamp for an event at real time
@@ -211,7 +231,7 @@ func (c *Client) hwStamp(t sim.Time) float64 {
 
 // --- Receive paths ------------------------------------------------------
 
-func (c *Client) onEvent(f *eth.Frame, rx sim.Time) {
+func (c *Client) onEventFrame(f *eth.Frame, rx sim.Time) {
 	if c.stopped || f.Src != c.gm {
 		return // Syncs from non-selected masters are ignored
 	}
@@ -232,7 +252,7 @@ func (c *Client) onEvent(f *eth.Frame, rx sim.Time) {
 	}
 }
 
-func (c *Client) onGeneral(f *eth.Frame, rx sim.Time) {
+func (c *Client) onGeneralFrame(f *eth.Frame, rx sim.Time) {
 	if c.stopped {
 		return
 	}
@@ -298,7 +318,7 @@ func (c *Client) delayRound() {
 			}
 		}
 	}
-	c.net.Sch.After(c.cfg.DelayReqInterval, c.delayRound)
+	c.net.Sch.AfterActor(c.cfg.DelayReqInterval, c, opDelayReq, 0, 0)
 }
 
 // pushDelay adds a path-delay sample and refreshes the filtered value:

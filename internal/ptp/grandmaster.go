@@ -45,7 +45,7 @@ func NewGrandmaster(n *fabric.Network, node int, clients []int, cfg Config, seed
 		source:   func(t sim.Time) float64 { return float64(t) },
 		Priority: 128,
 	}
-	n.Handle(node, eth.ProtoPTPEvent, gm.onEvent)
+	n.Handle(node, eth.ProtoPTPEvent, gm.onEventFrame)
 	return gm
 }
 
@@ -74,13 +74,15 @@ func (gm *Grandmaster) hwStamp(t sim.Time) float64 {
 // Start begins the Sync cadence.
 func (gm *Grandmaster) Start() {
 	gm.stopped = false
-	gm.net.Sch.After(gm.rng.UniformTime(0, gm.cfg.SyncInterval), gm.syncRound)
+	gm.net.Sch.AfterActor(gm.rng.UniformTime(0, gm.cfg.SyncInterval), gm, 0, 0, 0)
 }
 
 // Stop halts Sync transmission.
 func (gm *Grandmaster) Stop() { gm.stopped = true }
 
-func (gm *Grandmaster) syncRound() {
+// OnEvent implements sim.Actor: the master's one periodic timer runs a
+// Sync round and re-arms itself.
+func (gm *Grandmaster) OnEvent(uint8, uint64, uint64) {
 	if gm.stopped {
 		return
 	}
@@ -94,7 +96,7 @@ func (gm *Grandmaster) syncRound() {
 		gm.telAnnounces.Inc()
 		gm.sendSync(c)
 	}
-	gm.net.Sch.After(gm.cfg.SyncInterval, gm.syncRound)
+	gm.net.Sch.AfterActor(gm.cfg.SyncInterval, gm, 0, 0, 0)
 }
 
 // sendSync transmits a two-step Sync to one client: the event frame now,
@@ -125,9 +127,9 @@ func (gm *Grandmaster) sendSync(client int) {
 	})
 }
 
-// onEvent answers Delay_Req with Delay_Resp carrying the RX hardware
-// timestamp.
-func (gm *Grandmaster) onEvent(f *eth.Frame, rx sim.Time) {
+// onEventFrame answers Delay_Req with Delay_Resp carrying the RX
+// hardware timestamp.
+func (gm *Grandmaster) onEventFrame(f *eth.Frame, rx sim.Time) {
 	req, ok := f.Payload.(delayReq)
 	if !ok {
 		return
